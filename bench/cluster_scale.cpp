@@ -98,12 +98,13 @@ int main(int argc, char** argv) {
   std::printf("  serial : %7.1f ms/run  (%llu events)\n",
               serial_s * 1e3 / runs,
               static_cast<unsigned long long>(serial.events));
-  std::printf("  sharded: %7.1f ms/run  (%llu rounds, %llu cross-shard "
-              "msgs, %d threads)\n",
+  std::printf("  sharded: %7.1f ms/run  (%llu rounds, %llu forwards, %llu "
+              "capacity updates, %llu wakes, %d threads)\n",
               sharded_s * 1e3 / runs,
               static_cast<unsigned long long>(sharded.rounds),
-              static_cast<unsigned long long>(sharded.forwards +
-                                              sharded.gossip_messages),
+              static_cast<unsigned long long>(sharded.forwards),
+              static_cast<unsigned long long>(sharded.capacity_updates),
+              static_cast<unsigned long long>(sharded.gossip_messages),
               threads);
   std::printf("  speedup: %.2fx   schedule: %s\n", serial_s / sharded_s,
               identical ? "bit-identical" : "DIVERGED");

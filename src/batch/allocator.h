@@ -7,6 +7,11 @@
 // how production allocators trade locality against utilisation.  Nodes lost
 // to fault injection are marked offline and simply drop out of the pool;
 // conservation (free + busy + offline == total) is checkable at any instant.
+//
+// The free runs are kept as an index that every state change updates
+// incrementally (split on claim, merge on release), so a best-fit pick is a
+// bit scan instead of a scan of every node; shared-node mode keeps its
+// schedulable-slot count and its partially occupied nodes the same way.
 #pragma once
 
 #include <cstdint>
@@ -87,25 +92,33 @@ class NodeAllocator {
   int busy_slots(int node) const;
   /// Schedulable slots across free and (partially) busy nodes; offline
   /// nodes contribute nothing regardless of their occupants.
-  int free_slots() const;
+  int free_slots() const { return free_slots_; }
   /// True when the most recent allocate() was one contiguous run.
   bool last_allocation_contiguous() const { return last_contiguous_; }
   const AllocatorStats& stats() const { return stats_; }
 
-  /// Audit the cached counts against a recount of the state array; throws
+  /// Audit the cached counts and indexes (free runs, free slots, partially
+  /// occupied nodes) against a recount of the state arrays; throws
   /// std::logic_error on mismatch (used by the batch invariant tests).
   void check_conservation() const;
 
   std::string describe() const;
 
  private:
-  struct Run {
-    int start = 0;
-    int length = 0;
-  };
-  std::vector<Run> free_runs() const;
   void check_node(int node) const;
-  std::vector<int> pick_best_fit(int n, const std::vector<Run>& runs);
+  /// by_length_ index of the bucket a free run [start, start + length)
+  /// belongs to.
+  std::size_t bucket_of(int start, int length) const;
+  void add_run(int start, int length);
+  void erase_run(int start);
+  /// Index maintenance: carve [start, start + length) out of the free run
+  /// holding it / return it to the pool, merging with adjacent runs.
+  void claim_range(int start, int length);
+  void free_range(int start, int length);
+  /// Mark free nodes busy (sorted ids) / index nodes that became free.
+  void take_nodes(const std::vector<int>& sorted);
+  void index_freed(std::vector<int>& nodes);
+  std::vector<int> pick_best_fit(int n);
   std::vector<int> pick_scattered(int n);
 
   std::vector<NodeState> states_;
@@ -116,6 +129,18 @@ class NodeAllocator {
   int free_ = 0;
   int busy_ = 0;
   int offline_ = 0;
+  int free_slots_ = 0;
+  // Free-run index.  Boundary marks make merging O(1): run_len_ holds a
+  // run's length at its first node, run_head_ its first node at its last.
+  // Best fit is the lowest set bit at or above n in lengths_in_use_, then
+  // the lowest aligned start of that length, else the lowest unaligned one.
+  std::vector<int> run_len_;
+  std::vector<int> run_head_;
+  /// Index 2 * length + (start not block-aligned): run starts, ascending.
+  std::vector<std::vector<int>> by_length_;
+  std::vector<std::uint64_t> lengths_in_use_;
+  /// Shared mode: one bit per busy node that still has a free slot.
+  std::vector<std::uint64_t> partial_;
   bool last_contiguous_ = false;
   AllocatorStats stats_;
 };

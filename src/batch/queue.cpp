@@ -25,7 +25,9 @@ void validate_queues(const std::vector<QueueConfig>& queues) {
       throw std::invalid_argument("QueueConfig: bad width window on queue " +
                                   q.name);
     }
-    if (q.max_walltime < 0 || q.node_limit < 0) {
+    // SimDuration is unsigned: a limit set from a negative value wraps to
+    // a huge one with the high bit set, which would admit every job.
+    if ((q.max_walltime >> 63) != 0 || q.node_limit < 0) {
       throw std::invalid_argument("QueueConfig: negative limit on queue " +
                                   q.name);
     }

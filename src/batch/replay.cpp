@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "batch/allocator.h"
+#include "batch/capacity_board.h"
 #include "batch/job.h"
 #include "cluster/partition.h"
 #include "sim/engine.h"
@@ -73,6 +74,7 @@ class Driver {
   virtual void local(int shard, SimTime when, std::function<void()> fn) = 0;
   virtual void remote(int src, int dst, SimTime when,
                       std::function<void()> fn) = 0;
+  virtual void attach(CapacityBoard& board) = 0;
 };
 
 class SerialDriver final : public Driver {
@@ -84,6 +86,7 @@ class SerialDriver final : public Driver {
   void remote(int, int, SimTime when, std::function<void()> fn) override {
     engine.schedule_at(when, std::move(fn));
   }
+  void attach(CapacityBoard& board) override { board.attach(engine); }
 };
 
 class ShardedDriver final : public Driver {
@@ -98,6 +101,7 @@ class ShardedDriver final : public Driver {
               std::function<void()> fn) override {
     engine.send(src, dst, when, std::move(fn));
   }
+  void attach(CapacityBoard& board) override { board.attach(engine); }
 };
 
 class ReplaySim {
@@ -107,7 +111,9 @@ class ReplaySim {
       : cfg_(config),
         drv_(driver),
         partition_(effective_fabric(config), config.shards),
-        xlat_(partition_.lookahead()) {
+        xlat_(partition_.lookahead()),
+        board_(initial_capacity(partition_), xlat_, config.cycle,
+               [this](int s, SimTime t) { on_wake(s, t); }) {
     if (cfg_.cycle < 2) {
       throw std::invalid_argument(
           "ReplayConfig: cycle must be >= 2ns (decisions run at cycle+1)");
@@ -123,15 +129,11 @@ class ReplaySim {
       sh.base_node = partition_.first_node(s);
       sh.alloc = std::make_unique<NodeAllocator>(partition_.node_count(s),
                                                  cfg_.allocator_block);
-      sh.known_free.resize(static_cast<std::size_t>(cfg_.shards));
-      for (int k = 0; k < cfg_.shards; ++k) {
-        sh.known_free[static_cast<std::size_t>(k)] = partition_.node_count(k);
-      }
-      sh.advertised_free = partition_.node_count(s);
       sh.fairshare = FairshareTracker(cfg_.fairshare);
       sh.queue_nodes_used.assign(queues_.size(), 0);
     }
     build_workload(specs);
+    drv_.attach(board_);
   }
 
   void seed_events() {
@@ -157,8 +159,6 @@ class ReplaySim {
     std::unique_ptr<NodeAllocator> alloc;  // shard-local node ids
     std::map<std::pair<SimTime, std::uint32_t>, RJob> queue;
     std::map<std::uint32_t, RunningRep> running;  // by job id
-    std::vector<int> known_free;
-    int advertised_free = -1;
     bool pass_pending = false;
     std::size_t next_arrival = 0;
     FairshareTracker fairshare;
@@ -167,7 +167,6 @@ class ReplaySim {
     // Results, merged after the run.
     std::vector<std::pair<std::uint32_t, ReplayJobOutcome>> done;
     std::uint64_t forwards = 0;
-    std::uint64_t gossip_received = 0;
     std::uint64_t preemptions = 0;
     SimDuration busy_node_ns = 0;
   };
@@ -318,7 +317,7 @@ class ReplaySim {
           dispatch(s, t, std::move(j));
           continue;
         }
-        const int target = pick_target(s, job.nodes);
+        const int target = board_.pick_target(s, t, job.nodes);
         if (job.forwards < cfg_.max_forwards && target >= 0) {
           RJob j = job;
           sh.queue.erase(qit);
@@ -345,11 +344,11 @@ class ReplaySim {
       }
     }
 
-    const int free_now = sh.alloc->free_count();
-    if (free_now != sh.advertised_free) {
-      sh.advertised_free = free_now;
-      broadcast_free(s, t, free_now);
-    }
+    // Fairshare decay and the backfill window move with time, so a blocked
+    // shard's pass may act on any capacity change.
+    board_.end_pass(s, t, sh.alloc->free_count(),
+                    sh.queue.empty() ? CapacityBoard::kNoWake
+                                     : CapacityBoard::kAnyChange);
   }
 
   /// Earliest instant `need` nodes are expected free, per running jobs'
@@ -376,21 +375,6 @@ class ReplaySim {
     }
     if (reservation == kNoPromise) return {kNoPromise, 0};
     return {reservation, avail};
-  }
-
-  int pick_target(int s, int need) const {
-    const ShardRep& sh = shards_[static_cast<std::size_t>(s)];
-    int best = -1;
-    int best_free = 0;
-    for (int k = 0; k < cfg_.shards; ++k) {
-      if (k == s) continue;
-      const int free = sh.known_free[static_cast<std::size_t>(k)];
-      if (free >= need && free > best_free) {
-        best = k;
-        best_free = free;
-      }
-    }
-    return best;
   }
 
   void dispatch(int s, SimTime t, RJob job) {
@@ -567,11 +551,8 @@ class ReplaySim {
   }
 
   void forward(int src, int dst, SimTime t, RJob job) {
-    ShardRep& sh = shards_[static_cast<std::size_t>(src)];
-    ++sh.forwards;
-    // Debit our estimate so one pass does not herd every blocked job at
-    // the same target; the next gossip from `dst` restores the truth.
-    sh.known_free[static_cast<std::size_t>(dst)] -= job.nodes;
+    ++shards_[static_cast<std::size_t>(src)].forwards;
+    board_.debit(src, dst, job.nodes);
     ++job.forwards;
     const SimTime when = align_up(t + xlat_, cfg_.cycle);
     drv_.remote(src, dst, when,
@@ -584,26 +565,28 @@ class ReplaySim {
     request_pass(s, t);
   }
 
-  void broadcast_free(int s, SimTime t, int free) {
-    const SimTime when = align_up(t + xlat_, cfg_.cycle);
-    for (int k = 0; k < cfg_.shards; ++k) {
-      if (k == s) continue;
-      drv_.remote(s, k, when,
-                  [this, k, when, s, free] { on_gossip(k, when, s, free); });
+  /// Another shard's capacity changed while this one was blocked: its
+  /// queue may now have somewhere to go.
+  void on_wake(int s, SimTime t) {
+    if (!shards_[static_cast<std::size_t>(s)].queue.empty()) {
+      request_pass(s, t);
     }
   }
 
-  void on_gossip(int s, SimTime t, int from, int free) {
-    ShardRep& sh = shards_[static_cast<std::size_t>(s)];
-    ++sh.gossip_received;
-    sh.known_free[static_cast<std::size_t>(from)] = free;
-    if (!sh.queue.empty()) request_pass(s, t);
+  static std::vector<int> initial_capacity(
+      const cluster::ShardPartition& partition) {
+    std::vector<int> capacity;
+    for (int k = 0; k < partition.num_shards(); ++k) {
+      capacity.push_back(partition.node_count(k));
+    }
+    return capacity;
   }
 
   const ReplayConfig cfg_;
   Driver& drv_;
   cluster::ShardPartition partition_;
   SimDuration xlat_;
+  CapacityBoard board_;
   std::vector<QueueConfig> queues_;
   std::vector<ShardRep> shards_;
   std::vector<std::vector<RJob>> arrivals_;  // per home shard, sorted
@@ -615,6 +598,8 @@ class ReplaySim {
 ReplayResult ReplaySim::collect() const {
   ReplayResult result;
   result.jobs.resize(total_jobs_);
+  result.gossip_messages = board_.wakes();
+  result.capacity_updates = board_.capacity_updates();
   std::vector<bool> seen(total_jobs_, false);
   for (std::size_t i = 0; i < total_jobs_; ++i) {
     if (was_rejected_[i]) {
@@ -631,7 +616,6 @@ ReplayResult ReplaySim::collect() const {
       throw std::logic_error("ReplaySim: shard did not drain");
     }
     result.forwards += sh.forwards;
-    result.gossip_messages += sh.gossip_received;
     result.preemptions += sh.preemptions;
     busy_total += sh.busy_node_ns;
     for (const auto& [id, outcome] : sh.done) {

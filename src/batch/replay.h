@@ -21,9 +21,9 @@
 //     ReplayCkptConfig, restart read charged via ckpt::pfs_transfer_time)
 //     and re-enters the queue at its original arrival; the rest is lost
 //     and accounted.
-//   * EASY backfill within each shard, and scale.cpp's gossip/forwarding
-//     between shards (a blocked head may migrate to a reportedly freer
-//     shard).
+//   * EASY backfill within each shard, and scale.cpp's capacity board and
+//     forwarding between shards (a blocked head may migrate to a reportedly
+//     freer shard).
 //
 // run_replay_serial and run_replay_sharded are bit-identical at any thread
 // count — the goldens tests/bench pin via ReplayResult::checksum().
@@ -104,7 +104,9 @@ struct ReplayResult {
   int rejected = 0;                    // jobs no queue admitted
   SimTime makespan = 0;
   std::uint64_t forwards = 0;
+  /// Capacity-exchange wakes and per-pair updates, as in ScaleResult.
   std::uint64_t gossip_messages = 0;
+  std::uint64_t capacity_updates = 0;
   std::uint64_t preemptions = 0;
   std::uint64_t events = 0;
   std::uint64_t rounds = 0;  // conservative windows (0 when serial)

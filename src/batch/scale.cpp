@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "batch/allocator.h"
+#include "batch/capacity_board.h"
 #include "batch/job.h"
 #include "cluster/partition.h"
 #include "sim/engine.h"
@@ -126,6 +127,7 @@ class Driver {
   virtual void local(int shard, SimTime when, std::function<void()> fn) = 0;
   virtual void remote(int src, int dst, SimTime when,
                       std::function<void()> fn) = 0;
+  virtual void attach(CapacityBoard& board) = 0;
 };
 
 class SerialDriver final : public Driver {
@@ -137,6 +139,7 @@ class SerialDriver final : public Driver {
   void remote(int, int, SimTime when, std::function<void()> fn) override {
     engine.schedule_at(when, std::move(fn));
   }
+  void attach(CapacityBoard& board) override { board.attach(engine); }
 };
 
 class ShardedDriver final : public Driver {
@@ -151,6 +154,7 @@ class ShardedDriver final : public Driver {
               std::function<void()> fn) override {
     engine.send(src, dst, when, std::move(fn));
   }
+  void attach(CapacityBoard& board) override { board.attach(engine); }
 };
 
 class ScaleSim {
@@ -160,6 +164,8 @@ class ScaleSim {
         drv_(driver),
         partition_(effective_fabric(config), config.shards),
         xlat_(partition_.lookahead()),
+        board_(initial_capacity(partition_, config), xlat_, config.cycle,
+               [this](int s, SimTime t) { on_wake(s, t); }),
         pfs_(config.ckpt.pfs) {
     if (cfg_.cycle < 2) {
       throw std::invalid_argument(
@@ -188,15 +194,8 @@ class ScaleSim {
       sh.alloc = std::make_unique<NodeAllocator>(
           partition_.node_count(s), cfg_.allocator_block,
           AllocPolicy::kBestFit, slots_per_node_);
-      // All capacity bookkeeping (gossip, forwarding) is in slots; with
-      // slots_per_node == 1 a slot IS a node and nothing changes.
-      sh.known_free.resize(static_cast<std::size_t>(cfg_.shards));
-      for (int k = 0; k < cfg_.shards; ++k) {
-        sh.known_free[static_cast<std::size_t>(k)] =
-            partition_.node_count(k) * slots_per_node_;
-      }
-      sh.advertised_free = partition_.node_count(s) * slots_per_node_;
     }
+    drv_.attach(board_);
     // After the shard structures exist: workflow mode parks held jobs
     // directly on their home shard.
     build_workload();
@@ -217,14 +216,11 @@ class ScaleSim {
     int base_node = 0;
     std::unique_ptr<NodeAllocator> alloc;  // shard-local node ids
     std::map<std::pair<SimTime, std::uint32_t>, QueuedJob> queue;
-    std::vector<int> known_free;  // last gossiped free count per shard
-    int advertised_free = -1;     // what we last broadcast
     bool pass_pending = false;
     std::size_t next_arrival = 0;  // cursor into arrivals_[shard]
     // Results, merged after the run.
     std::vector<std::pair<std::uint32_t, ScaleJobOutcome>> done;
     std::uint64_t forwards = 0;
-    std::uint64_t gossip_received = 0;
     SimDuration busy_node_ns = 0;
     // --- workflow mode -----------------------------------------------------
     // Jobs homed here that still wait on dependencies: the unfinished-parent
@@ -356,8 +352,8 @@ class ScaleSim {
   }
 
   // --- event handlers --------------------------------------------------------
-  // Mutations (arrival, transfer, finish, gossip) land on grid instants and
-  // commute; the pass at grid+1 sees the complete instant state.
+  // Mutations (arrival, transfer, finish, capacity wake) land on grid
+  // instants and commute; the pass at grid+1 sees the complete instant state.
 
   void schedule_next_arrival(int s) {
     ShardSched& sh = shards_[static_cast<std::size_t>(s)];
@@ -427,17 +423,20 @@ class ScaleSim {
         continue;
       }
       // Strict FCFS locally, but a blocked head may migrate to the shard
-      // with the best (gossip-known) free capacity.
-      const int target = pick_target(s, job.nodes);
+      // with the best (board-known) free capacity.
+      const int target = board_.pick_target(s, t, job.nodes);
       if (job.forwards >= cfg_.max_forwards || target < 0) break;
       sh.queue.erase(head);
       forward(s, target, t, job);
     }
-    const int free_now = free_capacity(sh);
-    if (free_now != sh.advertised_free) {
-      sh.advertised_free = free_now;
-      broadcast_free(s, t, free_now);
+    // A capacity change elsewhere can only matter to a blocked head that may
+    // still be forwarded, and only if it frees room for the head.
+    int need = CapacityBoard::kNoWake;
+    if (!sh.queue.empty()) {
+      const QueuedJob& head = sh.queue.begin()->second;
+      if (head.forwards < cfg_.max_forwards) need = head.nodes;
     }
+    board_.end_pass(s, t, free_capacity(sh), need);
   }
 
   /// Schedulable capacity of a shard, in the workload's units: nodes when
@@ -453,21 +452,6 @@ class ScaleSim {
     } else {
       sh.alloc->release(alloc);
     }
-  }
-
-  int pick_target(int s, int need) const {
-    const ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    int best = -1;
-    int best_free = 0;
-    for (int k = 0; k < cfg_.shards; ++k) {
-      if (k == s) continue;
-      const int free = sh.known_free[static_cast<std::size_t>(k)];
-      if (free >= need && free > best_free) {
-        best = k;
-        best_free = free;
-      }
-    }
-    return best;
   }
 
   void dispatch(int s, SimTime t, const QueuedJob& job) {
@@ -580,11 +564,8 @@ class ScaleSim {
   }
 
   void forward(int src, int dst, SimTime t, QueuedJob job) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(src)];
-    ++sh.forwards;
-    // Debit our estimate so one pass does not herd every blocked job at the
-    // same target; the next gossip from `dst` restores the truth.
-    sh.known_free[static_cast<std::size_t>(dst)] -= job.nodes;
+    ++shards_[static_cast<std::size_t>(src)].forwards;
+    board_.debit(src, dst, job.nodes);
     ++job.forwards;
     const SimTime when = align_up(t + xlat_, cfg_.cycle);
     drv_.remote(src, dst, when,
@@ -597,21 +578,12 @@ class ScaleSim {
     request_pass(s, t);
   }
 
-  void broadcast_free(int s, SimTime t, int free) {
-    const SimTime when = align_up(t + xlat_, cfg_.cycle);
-    for (int k = 0; k < cfg_.shards; ++k) {
-      if (k == s) continue;
-      drv_.remote(s, k, when,
-                  [this, k, when, s, free] { on_gossip(k, when, s, free); });
+  /// Another shard's capacity changed while this one was blocked: its
+  /// queue may now have somewhere to go.
+  void on_wake(int s, SimTime t) {
+    if (!shards_[static_cast<std::size_t>(s)].queue.empty()) {
+      request_pass(s, t);
     }
-  }
-
-  void on_gossip(int s, SimTime t, int from, int free) {
-    ShardSched& sh = shards_[static_cast<std::size_t>(s)];
-    ++sh.gossip_received;
-    sh.known_free[static_cast<std::size_t>(from)] = free;
-    // A blocked queue may now have somewhere to go.
-    if (!sh.queue.empty()) request_pass(s, t);
   }
 
   // --- checkpoint/fault handlers (pass context, t = grid + 1) ----------------
@@ -948,10 +920,23 @@ class ScaleSim {
     }
   }
 
+  /// Every shard's free capacity at the start, in the workload's units:
+  /// slots when shared (a slot IS a node otherwise).
+  static std::vector<int> initial_capacity(
+      const cluster::ShardPartition& partition, const ScaleConfig& config) {
+    const int slots = config.share.enabled ? config.share.slots_per_node : 1;
+    std::vector<int> capacity;
+    for (int k = 0; k < config.shards; ++k) {
+      capacity.push_back(partition.node_count(k) * slots);
+    }
+    return capacity;
+  }
+
   ScaleConfig cfg_;
   Driver& drv_;
   cluster::ShardPartition partition_;
   SimDuration xlat_;  // cross-shard latency == conservative lookahead
+  CapacityBoard board_;
   std::size_t total_jobs_ = 0;
   std::vector<std::vector<QueuedJob>> arrivals_;  // per home shard, sorted
   std::vector<ShardSched> shards_;
@@ -985,6 +970,8 @@ class ScaleSim {
 ScaleResult ScaleSim::collect() const {
   ScaleResult result;
   result.jobs.resize(total_jobs_);
+  result.gossip_messages = board_.wakes();
+  result.capacity_updates = board_.capacity_updates();
   std::vector<bool> seen(total_jobs_, false);
   SimTime first_arrival = kNoPromise;
   SimTime last_finish = 0;
@@ -997,7 +984,6 @@ ScaleResult ScaleSim::collect() const {
   std::uint64_t released_total = 0;
   for (const ShardSched& sh : shards_) {
     result.forwards += sh.forwards;
-    result.gossip_messages += sh.gossip_received;
     busy_total += sh.busy_node_ns;
     result.dep_releases += sh.dep_releases;
     dep_stall_total += sh.dep_stall_ns;

@@ -14,9 +14,10 @@
 //     batch::NodeAllocator — a federated workload manager.
 //   * Jobs (batch::generate_arrivals) are submitted to a home shard and may
 //     be *forwarded* to a less-loaded shard when they cannot start locally;
-//     shards learn each other's free capacity only through gossip messages
-//     that cross the fabric — never by reading remote state — so the exact
-//     same code runs serially and sharded.
+//     shards learn each other's free capacity only through a capacity
+//     board whose entries become visible after the fabric's cross-leaf
+//     latency (batch/capacity_board.h) — never by reading remote state — so
+//     the exact same code runs serially and sharded.
 //   * A dispatched job's runtime is its ideal runtime stretched by the
 //     noisiest of its allocated nodes (max over per-(job, node) hashed
 //     draws): Petrini et al.'s "the job runs at the speed of its unluckiest
@@ -26,7 +27,7 @@
 // all state mutations land on multiples of `cycle` (the scheduler-cycle
 // quantum; real workload managers batch decisions the same way) and are
 // commutative — queue inserts keyed by globally-unique (arrival, id),
-// allocator releases, per-source gossip slots.  Decisions run in a
+// allocator releases, per-source capacity-board entries.  Decisions run in a
 // coalesced pass at cycle+1ns, strictly after every same-instant mutation,
 // so they see identical state no matter how serial and sharded runs
 // interleave the mutations.  Cross-shard delays are the fabric's cross-leaf
@@ -153,13 +154,13 @@ struct ScaleConfig {
   /// fabric's leaf blocks (see cluster::ShardPartition).
   int shards = 8;
   /// Topology + latencies; only the link latencies and leaf radix matter at
-  /// this granularity (lookahead + forwarding/gossip delays).
+  /// this granularity (lookahead + forwarding/capacity-exchange delays).
   net::FabricConfig fabric;
   /// Workload shape (jobs, Poisson arrivals, lognormal sizes/runtimes).
   /// max_nodes is clamped to the smallest shard so every job fits somewhere.
   ArrivalConfig arrivals;
-  /// Scheduler-cycle quantum: every arrival/finish/transfer/gossip lands on
-  /// a multiple of this, decisions run 1ns after.  Must be >= 2ns.
+  /// Scheduler-cycle quantum: every arrival/finish/transfer/capacity change
+  /// lands on a multiple of this, decisions run 1ns after.  Must be >= 2ns.
   SimDuration cycle = 10 * kMillisecond;
   /// Spread of the per-(job, node) noise draw: runtime is stretched by
   /// 1 + noise * u, u uniform in [0, 1), maximised over allocated nodes.
@@ -196,13 +197,19 @@ struct ScaleJobOutcome {
   std::int32_t forwards = 0;
 };
 
+/// gossip_messages counts the engine events spent on free-capacity exchange:
+/// wakes of blocked shards after another shard's capacity changed
+/// (batch/capacity_board.h).  capacity_updates keeps the logical count,
+/// (shards - 1) per capacity change — the per-pair deliveries the board
+/// stands in for.
 struct ScaleResult {
   std::vector<ScaleJobOutcome> jobs;  // by job id; every job finishes
   SimTime makespan = 0;               // first arrival -> last finish
   std::uint64_t forwards = 0;         // cross-shard job migrations
-  std::uint64_t gossip_messages = 0;  // free-capacity broadcasts delivered
+  std::uint64_t gossip_messages = 0;  // capacity-exchange wakes (see above)
   std::uint64_t events = 0;           // engine events dispatched
   std::uint64_t rounds = 0;           // conservative windows (0 when serial)
+  std::uint64_t capacity_updates = 0;
   double mean_wait_s = 0.0;
   double p95_wait_s = 0.0;
   double mean_slowdown = 0.0;  // bounded slowdown, tau = one cycle

@@ -87,10 +87,8 @@ void ShardedEngine::exchange_and_plan() {
     // total order: (arrival time, source shard, per-source sequence).  The
     // order is a pure function of the simulation — never of thread timing —
     // which is what makes sharded runs reproducible at any thread count.
-    std::vector<PendingSend> batch;
-    std::size_t total = 0;
-    for (const auto& sh : shards_) total += sh->outbox.size();
-    batch.reserve(total);
+    std::vector<PendingSend>& batch = exchange_;
+    batch.clear();
     for (const auto& sh : shards_) {
       for (auto& msg : sh->outbox) batch.push_back(std::move(msg));
       sh->outbox.clear();
@@ -107,6 +105,8 @@ void ShardedEngine::exchange_and_plan() {
     for (auto& msg : batch) {
       shards_[msg.dst]->engine.schedule_at(msg.when, std::move(msg.fn));
     }
+    batch.clear();
+    if (round_hook_) round_hook_();
 
     if (stop_.load(std::memory_order_relaxed) ||
         has_error_.load(std::memory_order_relaxed)) {

@@ -34,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -111,9 +112,28 @@ class ShardedEngine {
 
   const ShardedStats& stats() const { return stats_; }
 
+  /// Install (or clear, with nullptr) the round hook.  Contract:
+  ///   * it runs single-threaded inside the round barrier, once per
+  ///     barrier (including the one that opens each run()), while every
+  ///     worker is parked — it may read and write any shard's state;
+  ///   * it runs after the barrier's cross-shard sends were delivered and
+  ///     before the next window is planned, so the window (and the drained
+  ///     check) sees whatever it schedules;
+  ///   * it may schedule_at() or cancel() on any shard's engine, at times
+  ///     past the window that just finished (every shard ran up to its
+  ///     limit), so no shard is handed an event in its past and a send
+  ///     from the new event still lands in its receiver's future.
+  /// Scenarios use it to apply state that sources published during the
+  /// window — state no shard reads inside the window that produced it.
+  /// Not reentrant with run(): install it between runs.
+  void set_round_hook(std::function<void()> hook) {
+    round_hook_ = std::move(hook);
+  }
+
   /// Internal: the single-threaded barrier step (drain outboxes, deliver in
-  /// deterministic order, plan the next window).  Public only so the round
-  /// barrier's noexcept completion hook can reach it; never call directly.
+  /// deterministic order, run the round hook, plan the next window).
+  /// Public only so the round barrier's noexcept completion hook can reach
+  /// it; never call directly.
   void exchange_and_plan();
 
  private:
@@ -138,6 +158,10 @@ class ShardedEngine {
 
   SimDuration lookahead_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::function<void()> round_hook_;
+  /// Barrier-time merge buffer, reused round after round (cleared, never
+  /// shrunk) so the exchange allocates nothing in steady state.
+  std::vector<PendingSend> exchange_;
   // Round state written by exchange_and_plan(), read by workers.
   SimTime window_limit_ = 0;
   bool done_ = false;

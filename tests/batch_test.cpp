@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "batch/allocator.h"
 #include "batch/job.h"
+#include "batch/queue.h"
 #include "batch/scheduler.h"
 #include "batch/workload.h"
 #include "cluster/cluster.h"
@@ -549,6 +552,26 @@ TEST(BatchSchedulerTest, MultiQueueRoutesByShapeAndRejectsMisfits) {
   EXPECT_EQ(m.queues[0].finished, 1);
   EXPECT_EQ(m.queues[1].name, "workq");
   EXPECT_EQ(m.queues[1].finished, 1);
+}
+
+TEST(BatchQueueTest, NegativeWalltimeLimitIsRejected) {
+  QueueConfig q;
+  q.name = "workq";
+  // SimDuration is unsigned: a limit computed as a negative value wraps to
+  // ~584 years and would admit every job if it were let through.
+  const std::int64_t negative = -5 * static_cast<std::int64_t>(kSecond);
+  q.max_walltime = static_cast<SimDuration>(negative);
+  try {
+    validate_queues({q});
+    FAIL() << "a wrapped negative walltime limit was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("negative limit"), std::string::npos)
+        << e.what();
+  }
+  q.max_walltime = 3600 * kSecond;
+  EXPECT_NO_THROW(validate_queues({q}));
+  q.node_limit = -1;
+  EXPECT_THROW(validate_queues({q}), std::invalid_argument);
 }
 
 TEST(BatchSchedulerTest, QueueNodeLimitCapsConcurrencyWithoutBlockingOthers) {

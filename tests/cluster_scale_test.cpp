@@ -143,7 +143,10 @@ void expect_identical(const ScaleResult& a, const ScaleResult& b) {
   }
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.forwards, b.forwards);
+  // The capacity board cancels superseded wakes instead of letting them
+  // fire, so even the wake count is the same in serial and sharded runs.
   EXPECT_EQ(a.gossip_messages, b.gossip_messages);
+  EXPECT_EQ(a.capacity_updates, b.capacity_updates);
   EXPECT_EQ(a.checksum(), b.checksum());
 }
 
@@ -152,7 +155,9 @@ TEST(ClusterScale, LightScenarioGoldenPin) {
   EXPECT_EQ(serial.checksum(), kLightGolden);
   EXPECT_EQ(serial.jobs.size(), 2000u);
   EXPECT_EQ(serial.rounds, 0u);
-  EXPECT_GT(serial.gossip_messages, 0u);
+  // Free-capacity updates: one per (changed shard, other shard), the count
+  // of the per-pair gossip deliveries the capacity board replaced.
+  EXPECT_EQ(serial.capacity_updates, 10887u);
 }
 
 TEST(ClusterScale, LightScenarioShardedMatchesSerial) {
@@ -172,7 +177,11 @@ TEST(ClusterScale, ContendedScenarioGoldenPin) {
   EXPECT_EQ(serial.checksum(), kContendedGolden);
   // The load-sharing machinery is genuinely exercised here.
   EXPECT_GT(serial.forwards, 1000u);
-  EXPECT_GT(serial.gossip_messages, 1000u);
+  EXPECT_EQ(serial.capacity_updates, 5898u);
+  // Blocked shards are woken only by a capacity change that can give their
+  // head a target: at most a tenth of the per-pair deliveries it replaced.
+  EXPECT_GT(serial.gossip_messages, 0u);
+  EXPECT_LE(serial.gossip_messages * 10, serial.capacity_updates);
   EXPECT_GT(serial.utilization, 0.8);
   EXPECT_GT(serial.mean_wait_s, 1.0);
   EXPECT_GE(serial.mean_slowdown, 1.0);

@@ -110,6 +110,9 @@ TEST(ReplayTest, ShardedMatchesSerialAt124Threads) {
     EXPECT_EQ(sharded.checksum(), serial.checksum()) << threads;
     EXPECT_EQ(sharded.preemptions, serial.preemptions) << threads;
     EXPECT_EQ(sharded.forwards, serial.forwards) << threads;
+    EXPECT_EQ(sharded.capacity_updates, serial.capacity_updates) << threads;
+    EXPECT_EQ(sharded.gossip_messages, serial.gossip_messages) << threads;
+    EXPECT_EQ(sharded.events, serial.events) << threads;
   }
 }
 

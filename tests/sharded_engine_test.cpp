@@ -1,8 +1,9 @@
 // Unit tests for the conservative parallel engine (sim::ShardedEngine):
 // construction contracts, cross-shard delivery determinism at every thread
-// count, the lookahead guard, and stop/resume semantics.
+// count, the lookahead guard, stop/resume semantics, and the round hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -251,6 +252,48 @@ TEST(ShardedEngine, StatsAccumulateAcrossRuns) {
   EXPECT_GT(engine.stats().rounds, first_rounds);
   EXPECT_EQ(engine.stats().dispatched, 2u);
   EXPECT_GE(engine.stats().exchange_high_water, 1u);
+}
+
+TEST(ShardedEngine, RoundHookRunsAtEveryBarrierAndMaySchedule) {
+  for (const int threads : {1, 2, 4}) {
+    ShardedEngine engine(4, 10);
+    // Each shard runs a chain of local events, 7 ns apart, to t = 100.
+    std::vector<std::function<void()>> chain(4);
+    for (int s = 0; s < 4; ++s) {
+      chain[static_cast<std::size_t>(s)] = [&engine, &chain, s] {
+        const SimTime next = engine.shard(s).now() + 7;
+        if (next <= 100) {
+          engine.shard(s).schedule_at(next, chain[static_cast<std::size_t>(s)]);
+        }
+      };
+      engine.shard(s).schedule_at(static_cast<SimTime>(s),
+                                  chain[static_cast<std::size_t>(s)]);
+    }
+    std::uint64_t calls = 0;
+    SimTime horizon = 0;  // latest clock the hook has seen on any shard
+    std::vector<SimTime> hooked;
+    engine.set_round_hook([&] {
+      ++calls;
+      for (int s = 0; s < 4; ++s) {
+        horizon = std::max(horizon, engine.shard(s).now());
+      }
+      // Workers are parked: the hook may schedule on any shard, at or
+      // after the next window.
+      if (calls == 3) {
+        engine.shard(3).schedule_at(horizon + 1, [&engine, &hooked] {
+          hooked.push_back(engine.shard(3).now());
+        });
+      }
+    });
+    const std::uint64_t dispatched = engine.run(threads);
+    // Once before the first window, then after every window.
+    EXPECT_EQ(calls, engine.stats().rounds + 1) << threads;
+    ASSERT_EQ(hooked.size(), 1u) << threads;
+    EXPECT_GT(hooked[0], 0u);
+    // 15 + 15 + 15 + 14 chain events, plus the one the hook scheduled.
+    EXPECT_EQ(dispatched, 60u) << threads;
+    engine.set_round_hook(nullptr);
+  }
 }
 
 }  // namespace

@@ -551,6 +551,9 @@ TEST(ClusterScaleWorkflowTest, SerialMatchesShardedAtEveryThreadCount) {
         << "sharded schedule diverged at " << threads << " threads";
     EXPECT_EQ(sharded.dep_releases, serial.dep_releases);
     EXPECT_DOUBLE_EQ(sharded.wf_makespan_s, serial.wf_makespan_s);
+    EXPECT_EQ(sharded.capacity_updates, serial.capacity_updates);
+    EXPECT_EQ(sharded.gossip_messages, serial.gossip_messages);
+    EXPECT_EQ(sharded.events, serial.events);
   }
   // Golden checksum: pins the workflow schedule bit-for-bit across builds.
   // Regenerate by printing serial.checksum() if the scenario is *meant* to
